@@ -1,9 +1,9 @@
 """Machine-readable perf baseline for MWM-DIST, the auction engine.
 
 Writes ``BENCH_mwm.json`` at the repo root: end-to-end weighted runs
-(er:7 on 2×2, er:9 on 3×3) across the three weight distributions, each
-under the plain engine config and the superstep coalescer
-(``aggregate=True``).  Recorded per cell:
+(er:7 on 2×2, er:9 on 3×3) across the three weight distributions, one
+``engine`` cell each under the default collective config.  Recorded per
+cell:
 
 * the objective — ``weight`` and ``cardinality`` are gated for EXACT
   equality against the committed baseline (the engine is deterministic:
@@ -43,7 +43,7 @@ from repro.graphs.generators import WEIGHT_DISTS, edge_weights
 from repro.graphs.rmat import er
 from repro.matching.mwm_dist import run_mwm_dist
 from repro.matching.reference import auction_mwm_serial, hungarian_mwm
-from repro.runtime import DEFAULT_CONFIG, CollectiveConfig
+from repro.runtime import DEFAULT_CONFIG
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MWM_JSON = "BENCH_mwm.json"
@@ -68,41 +68,35 @@ def run_case(scale: int, pr: int, pc: int, hungarian: bool) -> dict:
         mr_s, mc_s, info = auction_mwm_serial(
             coo.nrows, coo.ncols, coo.rows, coo.cols, weights, epsilon=EPSILON
         )
-        cell: dict = {}
-        for label, cfg in (
-            ("engine", DEFAULT_CONFIG),
-            ("aggregated", CollectiveConfig(aggregate=True)),
-        ):
-            t0 = time.perf_counter()
-            mate_r, mate_c, stats = run_mwm_dist(
-                coo, weights, pr, pc, epsilon=EPSILON, comm_config=cfg
-            )
-            dt = time.perf_counter() - t0
-            # the serial twin is the oracle: bit-identical or bust
-            assert np.array_equal(mate_r, mr_s), f"{dist}/{label}: mate_r diverged"
-            assert np.array_equal(mate_c, mc_s), f"{dist}/{label}: mate_c diverged"
-            assert stats.matching_weight == info["weight"], \
-                f"{dist}/{label}: weight diverged"
-            cell[label] = {
-                "weight": stats.matching_weight,
-                "cardinality": stats.final_cardinality,
-                "phases": stats.phases,
-                "rounds": stats.auction_rounds,
-                "bids": stats.bids_placed,
-                "price_updates": stats.price_updates,
-                "price_words": stats.price_words,
-                "expand_words": stats.expand_words,
-                "fold_words": stats.fold_words,
-                "total_words": stats.total_words,
-                "comm_messages": stats.comm_messages,
-                "frames": stats.frames,
-                "frame_words": stats.frame_words,
-                "seconds_total": round(dt, 4),
-            }
-            print(f"  {out['graph']} {dist:<10} {label:<10} "
-                  f"weight {stats.matching_weight:>10.4f}  "
-                  f"rounds {stats.auction_rounds:>4}  "
-                  f"words {stats.total_words:>9,}  ({dt:.2f}s)")
+        t0 = time.perf_counter()
+        mate_r, mate_c, stats = run_mwm_dist(
+            coo, weights, pr, pc, epsilon=EPSILON, comm_config=DEFAULT_CONFIG
+        )
+        dt = time.perf_counter() - t0
+        # the serial twin is the oracle: bit-identical or bust
+        assert np.array_equal(mate_r, mr_s), f"{dist}: mate_r diverged"
+        assert np.array_equal(mate_c, mc_s), f"{dist}: mate_c diverged"
+        assert stats.matching_weight == info["weight"], f"{dist}: weight diverged"
+        cell: dict = {"engine": {
+            "weight": stats.matching_weight,
+            "cardinality": stats.final_cardinality,
+            "phases": stats.phases,
+            "rounds": stats.auction_rounds,
+            "bids": stats.bids_placed,
+            "price_updates": stats.price_updates,
+            "price_words": stats.price_words,
+            "expand_words": stats.expand_words,
+            "fold_words": stats.fold_words,
+            "total_words": stats.total_words,
+            "comm_messages": stats.comm_messages,
+            "frames": stats.frames,
+            "frame_words": stats.frame_words,
+            "seconds_total": round(dt, 4),
+        }}
+        print(f"  {out['graph']} {dist:<10} "
+              f"weight {stats.matching_weight:>10.4f}  "
+              f"rounds {stats.auction_rounds:>4}  "
+              f"words {stats.total_words:>9,}  ({dt:.2f}s)")
         if hungarian:
             _, _, opt = hungarian_mwm(
                 coo.nrows, coo.ncols, coo.rows, coo.cols, weights

@@ -83,12 +83,12 @@ class DistStats:
     #: the grid/row/column communicators: ``{"op:alg": {"calls", "messages",
     #: "words", "steps"}}`` (see :attr:`repro.runtime.comm.CommStats.by_alg`)
     comm_by_alg: "dict[str, dict[str, int]] | None" = None
-    #: the logical/physical ledger split of the aggregation engine, summed
-    #: over all ranks and communicators: ``comm_messages`` counts every
-    #: message of the logical (round-based) schedule — the number BENCH
-    #: gates and the trace cross-check price — while ``frames`` counts the
-    #: coalesced deposits/ring writes that actually crossed the fabric
-    #: (``frames == comm_messages`` with ``aggregate=False``)
+    #: the logical/physical ledger split of the runtime, summed over all
+    #: ranks and communicators: ``comm_messages`` counts every message of
+    #: the selected algorithms' logical (round-based) schedules — the
+    #: number BENCH gates and the trace cross-check price — while
+    #: ``frames`` counts the coalesced deposits/ring writes of the fixed
+    #: physical plans that actually crossed the fabric
     comm_messages: int = 0
     frames: int = 0
     frame_words: int = 0

@@ -22,11 +22,11 @@ Section IV-B of the paper:
 
 from __future__ import annotations
 
-import math
 
-
-def _log2ceil(p: int) -> int:
-    return max(1, math.ceil(math.log2(max(2, p)))) if p > 1 else 0
+def log2ceil(p: int) -> int:
+    """⌈log₂p⌉ rounds of a doubling schedule (0 for a singleton) — the
+    step count the runtime's ledgers and these formulas share."""
+    return (p - 1).bit_length() if p > 1 else 0
 
 
 def degraded_params(
@@ -90,17 +90,17 @@ def rma_op(alpha: float, beta: float, words: float = 1.0) -> float:
 
 def barrier_dissemination(p: int, alpha: float) -> float:
     """Dissemination barrier: ⌈log₂p⌉ latency-only rounds."""
-    return alpha * _log2ceil(p)
+    return alpha * log2ceil(p)
 
 
 def bcast_binomial(p: int, alpha: float, beta: float, words: float) -> float:
     """Binomial-tree broadcast of a ``words``-word payload."""
-    return _log2ceil(p) * (alpha + beta * words)
+    return log2ceil(p) * (alpha + beta * words)
 
 
 def reduce_binomial(p: int, alpha: float, beta: float, words: float) -> float:
     """Binomial-tree reduction of ``words``-word payloads."""
-    return _log2ceil(p) * (alpha + beta * words)
+    return log2ceil(p) * (alpha + beta * words)
 
 
 def bcast_linear(p: int, alpha: float, beta: float, words: float) -> float:
@@ -197,7 +197,7 @@ def alltoallv_bruck(p: int, alpha: float, beta: float, max_send_words: float) ->
     """
     if p <= 1:
         return 0.0
-    rounds = _log2ceil(p)
+    rounds = log2ceil(p)
     # Per-destination metadata (the counts exchange) is folded into the
     # latency term: it is size-independent and behaves like α, not like
     # payload bandwidth.
@@ -209,7 +209,7 @@ def allgather_recursive_doubling(p: int, alpha: float, beta: float, total_words:
     the ring but logarithmic latency (the small-message regime)."""
     if p <= 1:
         return 0.0
-    return alpha * _log2ceil(p) + beta * total_words * (p - 1) / p
+    return alpha * log2ceil(p) + beta * total_words * (p - 1) / p
 
 
 def alltoallv(p: int, alpha: float, beta: float, max_send_words: float, algorithm: str = "bruck", links=None, group=None, aggregate: bool = False) -> float:

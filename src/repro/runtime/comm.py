@@ -1,54 +1,51 @@
 """MPI-like communicators over the simulated fabric.
 
-Every collective below is implemented on top of the two-sided ``send`` /
-``recv`` primitives.  Following the collective-selection playbook of
-production MPIs (Thakur et al.'s MPICH optimization work, which the paper
-credits — via CombBLAS — for the 2D SpMV's scalability), each collective
-has a latency-aware algorithm and a naive textbook baseline, selected per
-communicator by a :class:`CollectiveConfig`:
+Every collective keeps two ledgers.  The **logical** ledger
+(:attr:`CommStats.messages_sent` / ``words_sent`` / ``by_op`` /
+``by_alg``) is what the paper prices in α-β terms (Section IV-B): the
+ordered ``(dest, words)`` sends of the collective *algorithm* selected per
+communicator by a :class:`CollectiveConfig` — the latency-aware engine
+algorithms of production MPIs (Thakur et al.'s MPICH work, which the paper
+credits via CombBLAS) or the naive textbook baselines.  The **physical**
+ledger (:attr:`CommStats.frames` / ``frame_words``) counts what actually
+hits the fabric, and its plan is a fixed property of the op:
 
-============  =======================  ==================  ==================
-collective    engine algorithm         α-β cost            naive baseline
-============  =======================  ==================  ==================
-barrier       dissemination            α·⌈log₂p⌉           (same)
-bcast         binomial tree            (α + βW)·⌈log₂p⌉    linear: (α+βW)(p-1)
-reduce        binomial tree            (α + βW)·⌈log₂p⌉    linear: (α+βW)(p-1)
-allreduce     recursive doubling       (α + βW)·~⌈log₂p⌉   reduce+bcast, linear
-allgather(v)  dissemination (Bruck)    α⌈log₂p⌉ + βW(p-1)/p   ring: α(p-1)+βW(p-1)/p
-alltoall(v)   Bruck (small payloads)   α⌈log₂p⌉ + βW⌈log₂p⌉/2   pairwise: α(p-1)+βW
-gather(v)     direct to root           α(p-1) + βW at root  (same)
-scatter(v)    direct from root         α(p-1) + βW at root  (same)
-exscan/scan   linear chain             α(p-1)              (same)
-============  =======================  ==================  ==================
+============  ==============  =========================  =======================
+collective    physical plan   ledger algorithms          α-β cost of the ledger
+============  ==============  =========================  =======================
+barrier       hub star        dissemination              α⌈log₂p⌉
+bcast         root → peers    binomial | linear          (α+βW)·(⌈log₂p⌉ | p-1)
+reduce        peers → root    binomial | linear          (α+βW)·(⌈log₂p⌉ | p-1)
+allreduce     hub star        doubling | reduce_bcast |  (α+βW)·~⌈log₂p⌉ | the
+                              linear                     reduce + bcast sum
+allgather(v)  hub star        dissemination | ring       α(⌈log₂p⌉ | p-1) + βW(p-1)/p
+alltoall(v)   hub star        pairwise                   α(p-1) + βW
+gather(v)     peers → root    direct                     α(p-1) + βW at root
+scatter(v)    root → peers    direct                     α(p-1) + βW at root
+exscan/scan   chain           chain                      α(p-1)
+============  ==============  =========================  =======================
 
-``alltoall``'s "auto" mode picks Bruck vs pairwise per call with an α-β
-heuristic on the *global* maximum send volume (a ⌈log₂p⌉-step one-word
-dissemination max makes the decision rank-uniform); every other "auto"
-resolves by ``p`` alone, so all selections are deadlock-free by
-construction.  The matching cost *formulas* live in
-:mod:`repro.perfmodel.collectives`; this module moves real data with the
-same communication patterns, so integration tests can check that measured
-message counts equal the model's predictions.  :attr:`CommStats.by_alg`
-counts calls/messages/words/steps per (collective, algorithm) pair.
+In an in-process runtime an algorithm name is a choice of accounting, not
+of wire traffic, so each name selects only two things: the ledger — the
+rank's ordered logical sends, replayed through :meth:`Communicator.
+_logical_send` so counters, ``by_alg``, trace spans, verify signatures
+and every fault-injection hook (draws, retries, model-time pricing) fire
+per logical message — and the fold order the hub or root applies, so
+float reductions are bit-identical to the round-based schedule the name
+describes.  The matching cost *formulas* live in
+:mod:`repro.perfmodel.collectives`; a test holds ``by_alg`` steps per call
+equal to their α-only price.
 
-Superstep aggregation (``CollectiveConfig.aggregate``, default on) splits
-the ledger in two.  The **logical** ledger above is invariant: counters,
-``by_alg``, trace spans and every fault-injection hook fire per logical
-message of the selected algorithm, whether or not that message travels
-individually.  The **physical** ledger (:attr:`CommStats.frames` /
-``frame_words``) counts what actually hits the fabric: a per-destination
-coalescer batches every payload a rank emits toward a peer between two
-blocking points into one framed buffer — a single mailbox deposit on the
-thread fabric, a single ring write (one codec pass) on the process
-backend.  The four rootless round-based collectives (barrier, doubling
-allreduce, dissemination allgather, pairwise alltoall) additionally swap
-their physical schedule for a hub star wave through comm rank 0 — 2(p-1)
-frames per call instead of ~p·⌈log₂p⌉ messages — while replaying the
-round-based schedule's exact per-message ledger analytically.  Flush
-points are deterministic (entry to any blocking receive, every collective
-boundary, :meth:`Communicator.flush_sends`), so frame counts are
-reproducible and benchmarkable.  ``aggregate=False`` restores
-message-per-deliver transport; results are bit-identical either way.
+Physically, collective and ``isend`` traffic goes through a
+per-destination coalescer: every payload a rank emits toward a peer
+between two flush points travels as one framed buffer — a single mailbox
+deposit on the thread fabric, a single ring write (one codec pass) on the
+process backend.  A hub star wave through comm rank 0 costs 2(p-1) frames
+per call whatever the logical round count.  Flush points are
+deterministic (entry to any blocking receive, every collective boundary,
+:meth:`Communicator.flush_sends`), so frame counts are reproducible and
+benchmarkable.  Blocking point-to-point ``send`` stays eager: one frame
+per message.
 """
 
 from __future__ import annotations
@@ -60,6 +57,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from ..perfmodel.collectives import log2ceil
 from .errors import CollectiveMismatchError, CommError, TransientCommError
 from .fabric import ANY_SOURCE, ANY_TAG, Fabric, _RESERVED_TAG_BASE
 
@@ -94,11 +92,10 @@ BOR = ReduceOp("bor", lambda a, b: a | b)
 
 
 _CONFIG_CHOICES = {
-    "bcast": ("auto", "binomial", "linear"),
-    "reduce": ("auto", "binomial", "linear"),
-    "allreduce": ("auto", "doubling", "reduce_bcast", "linear"),
-    "allgather": ("auto", "dissemination", "ring"),
-    "alltoall": ("auto", "bruck", "pairwise"),
+    "bcast": ("binomial", "linear"),
+    "reduce": ("binomial", "linear"),
+    "allreduce": ("doubling", "reduce_bcast", "linear"),
+    "allgather": ("dissemination", "ring"),
 }
 
 
@@ -106,41 +103,25 @@ _CONFIG_CHOICES = {
 class CollectiveConfig:
     """Per-communicator collective-algorithm selection.
 
-    Every field's ``"auto"`` resolves to the latency-aware engine algorithm
-    (``alltoall`` additionally weighs payload size against ``alpha_words``
-    per call); pinning a specific name forces it, which is how tests
-    cross-check the engine against the naive baselines and how benchmarks
-    measure both.  The selection must be identical on every rank of a
-    communicator — configs are plumbed through ``spmd(comm_config=...)``
-    and inherited by :meth:`Communicator.split`, so this holds by
-    construction.
+    Each name picks the logical ledger and the fold order of one
+    collective (see the module docstring); the physical plan does not
+    depend on it.  The defaults are the latency-aware engine algorithms;
+    pinning the naive ones is how tests cross-check the engine and how
+    benchmarks measure both.  The selection must be identical on every
+    rank of a communicator — configs are plumbed through
+    ``spmd(comm_config=...)`` and inherited by :meth:`Communicator.split`,
+    so this holds by construction.
 
-    ``alpha_words`` is the modeled α/β ratio expressed in 8-byte words: the
-    payload size below which one extra message costs more than the extra
-    volume.  ``pack``/``bitmap_frontiers`` gate the zero-copy payload
-    packing and bitmap frontier encodings in :mod:`repro.distmat.ops`.
-
-    ``aggregate`` turns on the superstep coalescer and the hub physical
-    plans (see the module docstring): logical ledgers, results and fault
-    replay are bit-identical either way, only the physical frame schedule
-    changes.  ``alltoall`` defaults to ``"pairwise"`` rather than
-    ``"auto"``: Bruck's store-and-forward rounds make every rank's logical
-    word count depend on payload sizes it only learns by moving the data
-    exactly as Bruck does, so the aggregated planner cannot replay its
-    ledger analytically — and pairwise is what the hub plan collapses to
-    2(p-1) frames anyway.  Pin ``"auto"`` or ``"bruck"`` to get the old
-    selector (those calls then run physical = logical).
+    ``pack``/``bitmap_frontiers`` gate the zero-copy payload packing and
+    bitmap frontier encodings in :mod:`repro.distmat.ops`.
     """
 
-    bcast: str = "auto"
-    reduce: str = "auto"
-    allreduce: str = "auto"
-    allgather: str = "auto"
-    alltoall: str = "pairwise"
-    alpha_words: float = 48.0
+    bcast: str = "binomial"
+    reduce: str = "binomial"
+    allreduce: str = "doubling"
+    allgather: str = "dissemination"
     pack: bool = True
     bitmap_frontiers: bool = True
-    aggregate: bool = True
 
     def __post_init__(self) -> None:
         for op, choices in _CONFIG_CHOICES.items():
@@ -149,8 +130,6 @@ class CollectiveConfig:
                 raise ValueError(
                     f"unknown {op} algorithm {val!r}; choose from {choices}"
                 )
-        if self.alpha_words < 0:
-            raise ValueError(f"alpha_words must be >= 0, got {self.alpha_words}")
 
 
 #: The latency-aware engine defaults.
@@ -163,16 +142,9 @@ NAIVE_CONFIG = CollectiveConfig(
     reduce="linear",
     allreduce="linear",
     allgather="ring",
-    alltoall="pairwise",
     pack=False,
     bitmap_frontiers=False,
-    aggregate=False,
 )
-
-
-def _log2ceil(p: int) -> int:
-    """⌈log₂p⌉ rounds of a doubling schedule (0 for a singleton)."""
-    return (p - 1).bit_length() if p > 1 else 0
 
 
 @dataclass
@@ -286,12 +258,17 @@ def _freeze(payload: Any) -> Any:
     return copy.deepcopy(payload)
 
 
+# -- fold orders ---------------------------------------------------------------
+#
+# The hub or root of a collective folds the per-rank values in the exact
+# order the named round-based schedule would, so every operator —
+# order-sensitive float sums included — gives bit-identical results.
+
+
 def _doubling_fold(vals: "list[Any]", op: "ReduceOp") -> Any:
-    """Fold ``vals`` with the exact reduction tree recursive doubling
-    evaluates (fold-in pairs, then a balanced tree with the lower rank's
-    contribution on the left).  The aggregated allreduce hub uses this so
-    its result is bit-identical to the unaggregated schedule for *any*
-    operator, order-sensitive float sums included."""
+    """Recursive doubling's reduction tree: fold-in pairs for the surplus
+    over a power of two, then a balanced tree with the lower rank's
+    contribution on the left."""
     p = len(vals)
     if p == 1:
         return vals[0]
@@ -302,6 +279,118 @@ def _doubling_fold(vals: "list[Any]", op: "ReduceOp") -> Any:
     while len(core) > 1:
         core = [op(core[i], core[i + 1]) for i in range(0, len(core), 2)]
     return core[0]
+
+
+def _binomial_fold(vals: "list[Any]", op: "ReduceOp") -> Any:
+    """A binomial reduce tree over ``vals`` in virtual-rank order (root
+    first): virtual rank v folds in the partial of v + mask for every mask
+    below its lowest set bit, its own partial on the left."""
+    acc = list(vals)
+    p, mask = len(acc), 1
+    while mask < p:
+        for v in range(0, p - mask, 2 * mask):
+            acc[v] = op(acc[v], acc[v + mask])
+        mask <<= 1
+    return acc[0]
+
+
+def _linear_fold(vals: "list[Any]", op: "ReduceOp") -> Any:
+    """The root folding each peer's value in turn, left to right."""
+    acc = vals[0]
+    for v in vals[1:]:
+        acc = op(acc, v)
+    return acc
+
+
+# -- logical ledgers ----------------------------------------------------------
+#
+# Pure functions: rank ``r``'s ordered ``(dest, words)`` sends under the
+# named algorithm, exactly as the round-based schedule would issue them.
+
+
+def _bcast_sends(alg: str, p: int, r: int, root: int, words: int) -> list:
+    if alg == "linear":
+        return [(d, words) for d in range(p) if d != root] if r == root else []
+    # binomial (MPICH): rotate so the root is virtual rank 0; a rank hears
+    # from its parent at its lowest set bit and forwards to children at
+    # every lower offset, highest first
+    vr = (r - root) % p
+    mask = 1
+    while mask < p and not vr & mask:
+        mask <<= 1
+    sends = []
+    mask >>= 1
+    while mask > 0:
+        if vr + mask < p:
+            sends.append(((vr + mask + root) % p, words))
+        mask >>= 1
+    return sends
+
+
+def _reduce_sends(alg: str, p: int, r: int, root: int, words: int) -> list:
+    """One send of the rank's partial toward the root.  ``words`` is the
+    rank's own payload size, which equals its partial's for same-signature
+    arrays and scalars."""
+    if r == root:
+        return []
+    if alg == "linear":
+        return [(root, words)]
+    vr = (r - root) % p
+    return [((vr - (vr & -vr) + root) % p, words)]
+
+
+def _doubling_sends(p: int, r: int, words: int) -> list:
+    """MPICH recursive doubling: the rem = p - 2^⌊log₂p⌋ surplus ranks
+    fold into their neighbours, log₂ exchange rounds run on the
+    power-of-two core, then the result folds back out."""
+    pof2 = 1 << (p.bit_length() - 1)
+    rem = p - pof2
+    sends = []
+    if r < 2 * rem:
+        newr = -1 if r % 2 == 0 else r // 2
+        if newr < 0:
+            sends.append((r + 1, words))
+    else:
+        newr = r - rem
+    if newr >= 0:
+        mask = 1
+        while mask < pof2:
+            partner = newr ^ mask
+            sends.append((partner * 2 + 1 if partner < rem else partner + rem, words))
+            mask <<= 1
+    if r < 2 * rem and r % 2 == 1:
+        sends.append((r - 1, words))
+    return sends
+
+
+def _allgather_sends(alg: str, p: int, r: int, block_words: "list[int]") -> list:
+    """Each message carries ``(src, block)`` pairs: one word per source
+    index plus the block."""
+    if alg == "ring":
+        # step s forwards the block that originated s ranks to the left
+        return [((r + 1) % p, 1 + block_words[(r - s) % p]) for s in range(p - 1)]
+    # dissemination: round k sends the blocks r .. r+nsend-1 to r - k
+    sends = []
+    k = 1
+    while k < p:
+        nsend = min(k, p - k)
+        sends.append(((r - k) % p,
+                      nsend + sum(block_words[(r + i) % p] for i in range(nsend))))
+        k *= 2
+    return sends
+
+
+def _steps(op: str, alg: str, p: int) -> int:
+    """The algorithm's sequential round count (its α-β latency term)."""
+    if alg == "doubling":
+        return (p.bit_length() - 1) + (2 if p & (p - 1) else 0)
+    if alg in ("binomial", "dissemination"):
+        return log2ceil(p)
+    if alg == "reduce_bcast":
+        return 2 * log2ceil(p)
+    if op == "allreduce":  # linear reduce + linear bcast
+        return 2 * max(0, p - 1)
+    return max(0, p - 1)  # linear, ring, pairwise, direct, chain
 
 
 class Request:
@@ -337,29 +426,6 @@ class _DoneRequest(Request):
         return self._value
 
 
-class _DeferredRequest(Request):
-    """Runs the full blocking operation at ``wait()`` — the unaggregated
-    (or pinned-algorithm) fallback, so ledgers total identically to the
-    blocking call they defer."""
-
-    __slots__ = ("_run", "_done", "_value")
-
-    def __init__(self, run: "Callable[[], Any]") -> None:
-        self._run = run
-        self._done = False
-        self._value = None
-
-    def test(self) -> bool:
-        return self._done
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._value = self._run()
-            self._run = None
-            self._done = True
-        return self._value
-
-
 class _RecvRequest(Request):
     """Nonblocking receive: completion is a mailbox probe."""
 
@@ -386,17 +452,21 @@ class _RecvRequest(Request):
 
 
 class _AllreduceRequest(Request):
-    """In-flight aggregated allreduce: the up-leg of the star wave (and the
-    full logical ledger) happened at post; ``wait()`` runs the hub fold and
-    the down-leg.  The overlap window is everything the rank does between
-    post and wait."""
+    """In-flight allreduce: the logical ledger and the up-leg of the star
+    wave happened at post; ``wait()`` runs the hub fold and the down-leg.
+    The overlap window is everything the rank does between post and
+    wait."""
 
-    __slots__ = ("_comm", "_seq", "_op", "_own", "_done", "_value")
+    __slots__ = ("_comm", "_seq", "_op", "_fold", "_own", "_done", "_value")
 
-    def __init__(self, comm: "Communicator", seq: int, op: "ReduceOp", own: Any) -> None:
+    def __init__(
+        self, comm: "Communicator", seq: int, op: "ReduceOp",
+        fold: "Callable[[list[Any], ReduceOp], Any]", own: Any,
+    ) -> None:
         self._comm = comm
         self._seq = seq
         self._op = op
+        self._fold = fold
         self._own = own
         self._done = False
         self._value = None
@@ -410,25 +480,13 @@ class _AllreduceRequest(Request):
         return self._done
 
     def wait(self) -> Any:
-        if self._done:
-            return self._value
-        comm = self._comm
-        p, r = comm.size, comm.rank
-        if r == 0:
-            vals: list[Any] = [None] * p
-            vals[0] = self._own
-            for _ in range(p - 1):
-                src, item = comm._coll_recv_any("allreduce", self._seq)
-                vals[src] = item
-            acc = _doubling_fold(vals, self._op)
-            for dst in range(1, p):
-                comm._phys_send(dst, acc, "allreduce", self._seq)
-            comm._flush_frames()
-            self._value = acc
-        else:
-            self._value = comm._coll_recv(0, "allreduce", self._seq)
-        self._own = None
-        self._done = True
+        if not self._done:
+            self._value = self._comm._hub_finish(
+                "allreduce", self._seq, self._own,
+                lambda ups: [self._fold(ups, self._op)] * self._comm.size,
+            )
+            self._own = None
+            self._done = True
         return self._value
 
 
@@ -542,9 +600,9 @@ class Communicator:
         dispatch — the zero-cost-when-disabled path.  Under injection the
         full per-message fault protocol (:meth:`_fault_effects`) runs
         first.  ``defer=True`` routes the envelope through the coalescer
-        outbox when aggregation is on (collective and isend traffic);
-        ``defer=False`` keeps eager per-message delivery (blocking p2p
-        ``send``, whose latency contract peers may rely on).
+        outbox (collective and isend traffic); ``defer=False`` keeps eager
+        per-message delivery (blocking p2p ``send``, whose latency
+        contract peers may rely on).
         """
         faults = self.fabric.faults
         if faults is None:
@@ -563,11 +621,10 @@ class Communicator:
         permanent failure.  Each message that survives is priced into the
         injector's deterministic model-time ledger (straggler/disruption
         factors x degraded-link α-β), and a straggling rank additionally
-        serves its wall-clock stall here.  The aggregated physical plans
-        call this once per message of the *logical* schedule (via
-        :meth:`_logical_send`), so fault decision streams, retries and
-        model time replay bit-for-bit whether or not the message travels
-        individually.
+        serves its wall-clock stall here.  The ledgers call this once per
+        message of the *logical* schedule (via :meth:`_logical_send`), so
+        fault decision streams, retries and model time follow the selected
+        algorithm, not the physical plan.
         """
         faults = self.fabric.faults
         policy = faults.retry
@@ -596,9 +653,9 @@ class Communicator:
         self, dest_global: int, tag: int, payload: Any,
         reorder_u: "float | None", words: int, defer: bool,
     ) -> None:
-        """Physical send: enqueue into the coalescer (deferred, aggregated)
-        or deliver immediately as a single-message frame."""
-        if defer and self.config.aggregate:
+        """Physical send: enqueue into the coalescer (deferred) or deliver
+        immediately as a single-message frame."""
+        if defer:
             self._outbox.setdefault(dest_global, []).append(
                 (tag, payload, reorder_u, words)
             )
@@ -666,10 +723,10 @@ class Communicator:
         return self.fabric.collect(self.global_rank, src_global, tag)
 
     def _logical_send(self, op: str, dest: int, words: int) -> None:
-        """Ledger one message of an unaggregated schedule the physical
-        plan replaces: logical counters and the full per-message fault
-        protocol fire exactly as the round-based send would; only the
-        physical delivery is elided.  ``dest`` is a communicator rank (the
+        """Ledger one message of the selected algorithm's schedule:
+        logical counters and the full per-message fault protocol fire
+        exactly as a round-based send would; the data itself travels in
+        the op's physical plan.  ``dest`` is a communicator rank (the
         injector prices per link, so destinations must match the logical
         schedule's)."""
         stats = self.stats
@@ -678,6 +735,11 @@ class Communicator:
         stats.by_op[op] = stats.by_op.get(op, 0) + 1
         if self.fabric.faults is not None:
             self._fault_effects(op, self.group[dest], words)
+
+    def _replay(self, op: str, sends: "list[tuple[int, int]]") -> None:
+        """Ledger an algorithm's ordered ``(dest, words)`` sends."""
+        for dest, words in sends:
+            self._logical_send(op, dest, words)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Block until a message matching (source, tag) arrives; return its
@@ -708,10 +770,10 @@ class Communicator:
     def isend(self, dest: int, payload: Any, tag: int = 0) -> "Request":
         """Nonblocking buffered send: the payload is captured (copied)
         immediately, so the returned request is already complete and the
-        buffer is reusable — MPI buffered-mode semantics.  Under
-        aggregation the message rides in this rank's next coalesced frame
-        to ``dest``, leaving at the next blocking call, collective
-        boundary, or :meth:`flush_sends`."""
+        buffer is reusable — MPI buffered-mode semantics.  The message
+        rides in this rank's next coalesced frame to ``dest``, leaving at
+        the next blocking call, collective boundary, or
+        :meth:`flush_sends`."""
         _check_user_tag(tag, wildcard_ok=False)
         tok = self._trace_begin("isend", dest=dest, tag=tag)
         before = self._begin_alg()
@@ -795,12 +857,12 @@ class Communicator:
         return payload
 
     def _coll_recv_any(self, opname: str, seq: int) -> Any:
-        """Hub-side receive of one star-wave up message (any source)."""
+        """Root-side receive of one up message (any source)."""
         env = self._collect(ANY_SOURCE, self._coll_tag(seq))
         got_op, got_comm, got_seq, body = env.payload
         if got_op != opname or got_comm != self.comm_id or got_seq != seq:
             raise CollectiveMismatchError(
-                f"hub of {opname}#{seq} (comm {self.comm_id}) received "
+                f"root of {opname}#{seq} (comm {self.comm_id}) received "
                 f"{got_op}#{got_seq} (comm {got_comm}): ranks entered "
                 "different collectives"
             )
@@ -810,27 +872,40 @@ class Communicator:
         self, opname: str, seq: int, up_item: Any,
         down_items: "Callable[[list[Any]], list[Any]]",
     ) -> Any:
-        """The aggregated physical schedule shared by the planned rootless
-        collectives: every non-hub rank sends one ``(rank, item)`` frame up
-        to comm rank 0; the hub computes the per-destination results with
+        """The hub star wave shared by the rootless collectives: every
+        non-hub rank sends one ``(rank, item)`` frame up to comm rank 0;
+        the hub computes the per-destination results with
         ``down_items(ups)`` and sends one frame back down to each rank —
         2(p-1) frames per wave, independent of the logical round count.
         Returns this rank's down payload (the hub: ``down_items(ups)[0]``).
         """
-        p, r = self.size, self.rank
-        if r == 0:
-            ups: list[Any] = [None] * p
-            ups[0] = up_item
-            for _ in range(p - 1):
-                src, item = self._coll_recv_any(opname, seq)
-                ups[src] = item
-            downs = down_items(ups)
-            for dst in range(1, p):
-                self._phys_send(dst, downs[dst], opname, seq)
-            self._flush_frames()  # the hub's down-leg must not linger
-            return downs[0]
-        self._phys_send(0, (r, up_item), opname, seq)
-        return self._coll_recv(0, opname, seq)
+        if self.rank != 0:
+            self._phys_send(0, (self.rank, up_item), opname, seq)
+        return self._hub_finish(opname, seq, up_item, down_items)
+
+    def _hub_finish(
+        self, opname: str, seq: int, own: Any,
+        down_items: "Callable[[list[Any]], list[Any]]",
+    ) -> Any:
+        """Second half of :meth:`_hub_exchange`, after the up-leg."""
+        if self.rank != 0:
+            return self._coll_recv(0, opname, seq)
+        ups = self._gather_ups(opname, seq, own, 0)
+        downs = down_items(ups)
+        for dst in range(1, self.size):
+            self._phys_send(dst, downs[dst], opname, seq)
+        self._flush_frames()  # the hub's down-leg must not linger
+        return downs[0]
+
+    def _gather_ups(self, opname: str, seq: int, own: Any, root: int) -> "list[Any]":
+        """At ``root``: collect every peer's ``(rank, item)`` frame into a
+        rank-indexed list, ``own`` at ``root``."""
+        ups: list[Any] = [None] * self.size
+        ups[root] = own
+        for _ in range(self.size - 1):
+            src, item = self._coll_recv_any(opname, seq)
+            ups[src] = item
+        return ups
 
     def _next_seq(self) -> int:
         self._coll_seq += 1
@@ -902,23 +977,23 @@ class Communicator:
     # -- collectives ----------------------------------------------------------
 
     def barrier(self) -> None:
-        """Dissemination barrier: ⌈log₂p⌉ rounds (one aggregated star wave
-        under ``config.aggregate``)."""
+        """Dissemination barrier: ⌈log₂p⌉ logical rounds, one star wave."""
         self.barrier_n(1)
 
     def barrier_n(self, count: int) -> None:
         """``count`` consecutive barriers in one physical wave.
 
         Logically — ledger, verify signatures, fault points, trace spans —
-        identical to calling :meth:`barrier` ``count`` times.  Under
-        aggregation the physical release is a single star wave for the
-        whole batch (2(p-1) frames total), which is what lets the RMA
-        layer's ``fence_all``/``free_all`` fuse their epoch barriers.
+        identical to calling :meth:`barrier` ``count`` times; the physical
+        release is a single star wave for the whole batch (2(p-1) frames
+        total), which is what lets the RMA layer's ``fence_all``/
+        ``free_all`` fuse their epoch barriers.
         """
         if count <= 0:
             return
         p, r = self.size, self.rank
-        aggregated = self.config.aggregate and p > 1
+        steps = log2ceil(p)
+        sends = [((r + (1 << i)) % p, 1) for i in range(steps)]
         first_seq = 0
         for i in range(count):
             seq = self._next_seq()
@@ -927,72 +1002,65 @@ class Communicator:
             tok = self._trace_begin("barrier")
             self._verify("barrier", seq)
             before = self._begin_alg()
-            k = 1
-            while k < p:
-                if aggregated:
-                    self._logical_send("barrier", (r + k) % p, 1)
-                else:
-                    self._coll_send((r + k) % p, None, "barrier", seq)
-                    self._coll_recv((r - k) % p, "barrier", seq)
-                k *= 2
-            self._end_alg("barrier", "dissemination", before, _log2ceil(p))
-            self._trace_end(tok, "dissemination", _log2ceil(p))
-        if aggregated:
-            self._hub_exchange("barrier", first_seq, None, lambda ups: [None] * p)
+            self._replay("barrier", sends)
+            self._end_alg("barrier", "dissemination", before, steps)
+            self._trace_end(tok, "dissemination", steps)
+        self._hub_exchange("barrier", first_seq, None, lambda ups: [None] * p)
 
-    # -- bcast ---------------------------------------------------------------
+    # -- bcast / reduce --------------------------------------------------------
 
     def bcast(self, payload: Any, root: int = 0) -> Any:
         """Broadcast from ``root``; returns the payload on all ranks (a
-        private copy on each non-root rank).  Binomial tree by default;
-        ``config.bcast = "linear"`` pins the naive root-sends-to-all
-        baseline."""
+        private copy on each non-root rank).  The root sends to every peer
+        directly; the ledger is the binomial tree's, or the naive
+        root-sends-to-all baseline's under ``config.bcast = "linear"``."""
         seq = self._next_seq()
         tok = self._trace_begin("bcast", root=root)
         self._verify("bcast", seq, root=root)
-        alg = "binomial" if self.config.bcast == "auto" else self.config.bcast
+        alg = self.config.bcast
         before = self._begin_alg()
-        if alg == "linear":
-            out = self._bcast_linear(payload, root, seq)
-            steps = max(0, self.size - 1)
+        p, r = self.size, self.rank
+        if r == root:
+            out = _freeze(payload)  # the root keeps a private copy
+            for dst in range(p):
+                if dst != root:
+                    self._phys_send(dst, out, "bcast", seq)
         else:
-            out = self._bcast_binomial(payload, root, seq)
-            steps = _log2ceil(self.size)
+            out = self._coll_recv(root, "bcast", seq)
+        self._replay("bcast", _bcast_sends(alg, p, r, root, _payload_words(out)))
+        steps = _steps("bcast", alg, p)
         self._end_alg("bcast", alg, before, steps)
         self._trace_end(tok, alg, steps)
         return out
 
-    def _bcast_binomial(self, payload: Any, root: int, seq: int) -> Any:
-        p = self.size
-        # Rotate so the root is virtual rank 0 (MPICH binomial algorithm).
-        vr = (self.rank - root) % p
-        mask = 1
-        while mask < p:
-            if vr & mask:
-                src = ((vr - mask) + root) % p
-                payload = self._coll_recv(src, "bcast", seq)
-                break
-            mask <<= 1
+    def reduce(self, payload: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
+        """Reduction to ``root``; returns the reduced value at root and
+        ``None`` elsewhere.  Every rank sends to the root directly; the
+        root folds in the binomial tree's order, or left to right under
+        ``config.reduce = "linear"`` (the naive baseline), and the ledger
+        follows the same algorithm."""
+        seq = self._next_seq()
+        tok = self._trace_begin("reduce", root=root, op=op.name)
+        self._verify("reduce", seq, root=root, extra=(op.name,) + _payload_sig(payload))
+        alg = self.config.reduce
+        p, r = self.size, self.rank
+        before = self._begin_alg()
+        self._replay("reduce", _reduce_sends(alg, p, r, root, _payload_words(payload)))
+        if r != root:
+            self._phys_send(root, (r, payload), "reduce", seq)
+            out = None
         else:
-            payload = _freeze(payload)  # root: keep a private copy
-        # ``mask`` is now the lowest set bit of vr (or >= p at the root);
-        # forward to children at descending offsets below it.
-        mask >>= 1
-        while mask > 0:
-            if vr + mask < p:
-                dst = ((vr + mask) + root) % p
-                self._coll_send(dst, payload, "bcast", seq)
-            mask >>= 1
-        return payload
-
-    def _bcast_linear(self, payload: Any, root: int, seq: int) -> Any:
-        if self.rank == root:
-            payload = _freeze(payload)
-            for dst in range(self.size):
-                if dst != root:
-                    self._coll_send(dst, payload, "bcast", seq)
-            return payload
-        return self._coll_recv(root, "bcast", seq)
+            vals = self._gather_ups("reduce", seq, _freeze(payload), root)
+            # the fold runs over ranks in the schedule's order: rotated so
+            # the root is virtual rank 0, or root first then the rest
+            order = ([(root + v) % p for v in range(p)] if alg == "binomial"
+                     else [root] + [s for s in range(p) if s != root])
+            fold = _binomial_fold if alg == "binomial" else _linear_fold
+            out = fold([vals[s] for s in order], op)
+        steps = _steps("reduce", alg, p)
+        self._end_alg("reduce", alg, before, steps)
+        self._trace_end(tok, alg, steps)
+        return out
 
     # -- gather / scatter ------------------------------------------------------
 
@@ -1004,22 +1072,13 @@ class Communicator:
         self._verify("gather", seq, root=root)
         before = self._begin_alg()
         if self.rank == root:
-            out: "list[Any] | None" = [None] * self.size
-            out[root] = _freeze(payload)
-            for _ in range(self.size - 1):
-                env = self._collect(ANY_SOURCE, self._coll_tag(seq))
-                got_op, got_comm, got_seq, body = env.payload
-                if got_op != "gather" or got_seq != seq or got_comm != self.comm_id:
-                    raise CollectiveMismatchError(
-                        f"root of gather#{seq} received {got_op}#{got_seq}"
-                    )
-                src_local, item = body
-                out[src_local] = item
+            out = self._gather_ups("gather", seq, _freeze(payload), root)
         else:
             self._coll_send(root, (self.rank, payload), "gather", seq)
             out = None
-        self._end_alg("gather", "direct", before, max(0, self.size - 1))
-        self._trace_end(tok, "direct", max(0, self.size - 1))
+        steps = _steps("gather", "direct", self.size)
+        self._end_alg("gather", "direct", before, steps)
+        self._trace_end(tok, "direct", steps)
         return out
 
     def gatherv(self, payload: Any, root: int = 0) -> list[Any] | None:
@@ -1041,405 +1100,95 @@ class Communicator:
             out = _freeze(payloads[root])
         else:
             out = self._coll_recv(root, "scatter", seq)
-        self._end_alg("scatter", "direct", before, max(0, self.size - 1))
-        self._trace_end(tok, "direct", max(0, self.size - 1))
+        steps = _steps("scatter", "direct", self.size)
+        self._end_alg("scatter", "direct", before, steps)
+        self._trace_end(tok, "direct", steps)
         return out
 
-    # -- allgather -------------------------------------------------------------
+    # -- allgather / alltoall ----------------------------------------------------
 
     def allgather(self, payload: Any) -> list[Any]:
         """Allgather; returns the list of payloads ordered by rank.
 
-        Dissemination (Bruck) by default — ⌈log₂p⌉ rounds moving the same
-        p-1 blocks per rank the ring moves in p-1 rounds;
-        ``config.allgather = "ring"`` pins the naive ring baseline."""
+        One star wave carries every block.  The ledger is dissemination's
+        (Bruck: ⌈log₂p⌉ rounds moving the same p-1 blocks per rank the
+        ring moves in p-1 rounds) or, under ``config.allgather = "ring"``,
+        the naive ring's — computable after the wave, when every rank
+        holds all block sizes."""
         seq = self._next_seq()
         tok = self._trace_begin("allgather")
         self._verify("allgather", seq)
-        alg = "dissemination" if self.config.allgather == "auto" else self.config.allgather
-        before = self._begin_alg()
-        if alg == "ring":
-            out = self._allgather_ring(payload, seq)
-            steps = max(0, self.size - 1)
-        elif self.config.aggregate and self.size > 1:
-            out = self._allgather_hub(payload, seq)
-            steps = _log2ceil(self.size)
-        else:
-            out = self._allgather_dissemination(payload, seq)
-            steps = _log2ceil(self.size)
-        self._end_alg("allgather", alg, before, steps)
-        self._trace_end(tok, alg, steps)
-        return out
-
-    def _allgather_hub(self, payload: Any, seq: int) -> list[Any]:
-        """Aggregated dissemination allgather: one star wave carries every
-        block (2(p-1) frames), while the ledger replays the dissemination
-        rounds' exact per-message word counts — computable here because
-        after the wave every rank holds all block sizes."""
+        alg = self.config.allgather
         p, r = self.size, self.rank
+        before = self._begin_alg()
         out = list(self._hub_exchange(
             "allgather", seq, _freeze(payload), lambda ups: [ups] * p
         ))
-        bw = [_payload_words(out[i]) for i in range(p)]
-        k = 1
-        while k < p:
-            # dissemination round k sends held[:nsend] = (src, block) pairs
-            # for blocks r..r+nsend-1: one word per src int plus the block
-            nsend = min(k, p - k)
-            words = nsend + sum(bw[(r + i) % p] for i in range(nsend))
-            self._logical_send("allgather", (r - k) % p, words)
-            k *= 2
-        return out
-
-    def _allgather_ring(self, payload: Any, seq: int) -> list[Any]:
-        p, r = self.size, self.rank
-        out: list[Any] = [None] * p
-        out[r] = _freeze(payload)
-        if p == 1:
-            return out
-        right = (r + 1) % p
-        left = (r - 1) % p
-        carried = (r, out[r])
-        for _ in range(p - 1):
-            self._coll_send(right, carried, "allgather", seq)
-            carried = self._coll_recv(left, "allgather", seq)
-            src, item = carried
-            out[src] = item
-        return out
-
-    def _allgather_dissemination(self, payload: Any, seq: int) -> list[Any]:
-        # Bruck/dissemination allgather: after the round with distance k,
-        # rank r holds blocks r .. r+2k-1 (mod p) in acquisition order, so
-        # the last round may forward only a partial batch (non-power-of-two
-        # p); total traffic is the ring's p-1 blocks in ⌈log₂p⌉ rounds.
-        p, r = self.size, self.rank
-        out: list[Any] = [None] * p
-        out[r] = _freeze(payload)
-        if p == 1:
-            return out
-        held: list[tuple[int, Any]] = [(r, out[r])]
-        k = 1
-        while k < p:
-            nsend = min(k, p - k)
-            self._coll_send((r - k) % p, held[:nsend], "allgather", seq)
-            held.extend(self._coll_recv((r + k) % p, "allgather", seq))
-            k *= 2
-        for src, item in held:
-            out[src] = item
+        block_words = [_payload_words(b) for b in out]
+        self._replay("allgather", _allgather_sends(alg, p, r, block_words))
+        steps = _steps("allgather", alg, p)
+        self._end_alg("allgather", alg, before, steps)
+        self._trace_end(tok, alg, steps)
         return out
 
     def allgatherv(self, payload: Any) -> list[Any]:
         """Alias of :meth:`allgather` (payloads may differ in size)."""
         return self.allgather(payload)
 
-    # -- alltoall ---------------------------------------------------------------
-
     def alltoall(self, payloads: Sequence[Any]) -> list[Any]:
         """Personalized all-to-all: ``payloads[i]`` is destined for rank
         ``i``; returns the list of payloads received, indexed by source rank.
 
-        ``config.alltoall`` picks the schedule: "pairwise" (p-1 sendrecv
-        steps, minimum volume), "bruck" (⌈log₂p⌉ store-and-forward rounds,
-        each block travelling once per set bit of its rank distance), or
-        "auto" — an α-β comparison on the global maximum send volume, made
-        rank-uniform by a ⌈log₂p⌉-step one-word dissemination max so every
-        rank runs the same schedule.
+        Each rank ships its whole payload row up in one frame and the hub
+        sends one repacked frame back down: word volume roughly doubles
+        physically, but frames drop from p(p-1) to 2(p-1) per call — the
+        α-dominated regime this engine targets.  The ledger is pairwise
+        exchange's p-1 per-destination sends.
         """
-        if len(payloads) != self.size:
+        p, r = self.size, self.rank
+        if len(payloads) != p:
             raise ValueError(
-                f"alltoall needs exactly {self.size} payloads, got {len(payloads)}"
+                f"alltoall needs exactly {p} payloads, got {len(payloads)}"
             )
         seq = self._next_seq()
         tok = self._trace_begin("alltoall")
         self._verify("alltoall", seq)
-        p, r = self.size, self.rank
-        rounds = _log2ceil(p)
-        extra_steps = 0
-        # snapshot before the auto sizing exchange so its messages/words are
-        # attributed to the chosen algorithm (as its steps already are)
         before = self._begin_alg()
-        alg = self.config.alltoall
-        if alg == "auto":
-            if p <= 3:
-                # Bruck's ⌈log₂p⌉ rounds equal p-1 here: no latency win, and
-                # forwarding would only add volume — pairwise outright.
-                alg = "pairwise"
-            else:
-                my_words = sum(
-                    _payload_words(payloads[d]) for d in range(p) if d != r
-                )
-                W = self._dissemination_max(my_words, seq)
-                extra_steps = rounds
-                aw = self.config.alpha_words
-                bruck_cost = aw * rounds + W * rounds / 2.0
-                pairwise_cost = aw * (p - 1) + W
-                alg = "bruck" if bruck_cost < pairwise_cost else "pairwise"
-        if alg == "bruck":
-            # Bruck's forwarded blocks give each rank logical word counts
-            # that depend on payloads it never sees until it moves them, so
-            # there is no analytic ledger: physical = logical.
-            out = self._alltoall_bruck(payloads, seq)
-            steps = extra_steps + rounds
-        elif self.config.aggregate and p > 1:
-            out = self._alltoall_hub(payloads, seq)
-            steps = extra_steps + max(0, p - 1)
-        else:
-            out = self._alltoall_pairwise(payloads, seq)
-            steps = extra_steps + max(0, p - 1)
-        self._end_alg("alltoall", alg, before, steps)
-        self._trace_end(tok, alg, steps)
-        return out
-
-    def _alltoall_hub(self, payloads: Sequence[Any], seq: int) -> list[Any]:
-        """Aggregated pairwise alltoall: each rank ships its whole payload
-        row up in one frame, the hub repacks per destination and ships one
-        frame back down.  Word volume roughly doubles physically (rows
-        travel up and repacked columns travel down) but frames drop from
-        p(p-1) to 2(p-1) per call — the α-dominated regime this engine
-        targets.  The ledger replays pairwise's p-1 per-destination sends."""
-        p, r = self.size, self.rank
-        for step in range(1, p):
-            dst = (r + step) % p
-            self._logical_send("alltoall", dst, _payload_words(payloads[dst]))
+        self._replay("alltoall", [
+            ((r + step) % p, _payload_words(payloads[(r + step) % p]))
+            for step in range(1, p)
+        ])
         row = list(payloads)
         if r == 0:
             row[0] = _freeze(row[0])  # the hub's own block skips the wire
-        out = self._hub_exchange(
+        out = list(self._hub_exchange(
             "alltoall", seq, row,
             lambda rows: [[rows[s][d] for s in range(p)] for d in range(p)],
-        )
-        return list(out)
-
-    def _dissemination_max(self, value: int, seq: int) -> int:
-        """Global max of a per-rank scalar in ⌈log₂p⌉ one-word rounds.
-
-        Plain dissemination is only a correct allreduce for *idempotent*
-        operators (a contribution may be folded in twice past the wrap-
-        around) — max is.  Shares the collective's (tag, seq) stream: every
-        rank finishes these rounds before its first data round, so per-
-        stream FIFO keeps the one-word counts ahead of the data blocks.
-        """
-        p, r = self.size, self.rank
-        k = 1
-        while k < p:
-            self._coll_send((r + k) % p, value, "alltoall", seq)
-            value = max(value, self._coll_recv((r - k) % p, "alltoall", seq))
-            k *= 2
-        return value
-
-    def _alltoall_pairwise(self, payloads: Sequence[Any], seq: int) -> list[Any]:
-        p, r = self.size, self.rank
-        out: list[Any] = [None] * p
-        out[r] = _freeze(payloads[r])
-        for step in range(1, p):
-            dst = (r + step) % p
-            src = (r - step) % p
-            self._coll_send(dst, payloads[dst], "alltoall", seq)
-            out[src] = self._coll_recv(src, "alltoall", seq)
+        ))
+        steps = _steps("alltoall", "pairwise", p)
+        self._end_alg("alltoall", "pairwise", before, steps)
+        self._trace_end(tok, "pairwise", steps)
         return out
-
-    def _alltoall_bruck(self, payloads: Sequence[Any], seq: int) -> list[Any]:
-        # Store-and-forward alltoall: label each block by its rank distance
-        # i = (dest - source) mod p.  In the round with distance 2^k, every
-        # rank forwards its blocks whose label has bit k set to rank r+2^k
-        # and receives the same labels from r-2^k; a block's total travel is
-        # the sum of its label's bits = its distance, so it lands exactly at
-        # its destination.  Same-labeled blocks move in lockstep, so one
-        # slot per label suffices.
-        p, r = self.size, self.rank
-        buf: list[Any] = [payloads[(r + i) % p] for i in range(p)]
-        buf[0] = _freeze(buf[0])  # own block never travels
-        step = 1
-        while step < p:
-            moving = [(i, buf[i]) for i in range(1, p) if i & step]
-            self._coll_send((r + step) % p, moving, "alltoall", seq)
-            for i, item in self._coll_recv((r - step) % p, "alltoall", seq):
-                buf[i] = item
-            step <<= 1
-        # block with label i now held here came from source (r - i) mod p
-        return [buf[(r - s) % p] for s in range(p)]
 
     def alltoallv(self, payloads: Sequence[Any]) -> list[Any]:
         """Alias of :meth:`alltoall` (variable-size payloads)."""
         return self.alltoall(payloads)
 
-    # -- reductions ---------------------------------------------------------------
-
-    def reduce(self, payload: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
-        """Reduction to ``root``; returns the reduced value at root and
-        ``None`` elsewhere.  Binomial tree by default; ``config.reduce =
-        "linear"`` pins the naive everyone-sends-to-root baseline."""
-        seq = self._next_seq()
-        tok = self._trace_begin("reduce", root=root, op=op.name)
-        self._verify("reduce", seq, root=root, extra=(op.name,) + _payload_sig(payload))
-        alg = "binomial" if self.config.reduce == "auto" else self.config.reduce
-        before = self._begin_alg()
-        if alg == "linear":
-            out = self._reduce_linear(payload, op, root, seq)
-            steps = max(0, self.size - 1)
-        else:
-            out = self._reduce_binomial(payload, op, root, seq)
-            steps = _log2ceil(self.size)
-        self._end_alg("reduce", alg, before, steps)
-        self._trace_end(tok, alg, steps)
-        return out
-
-    def _reduce_binomial(self, payload: Any, op: ReduceOp, root: int, seq: int) -> Any:
-        p = self.size
-        vr = (self.rank - root) % p
-        acc = _freeze(payload)
-        mask = 1
-        while mask < p:
-            if vr & mask:
-                dst = ((vr & ~mask) + root) % p
-                self._coll_send(dst, acc, "reduce", seq)
-                return None
-            if vr | mask < p:
-                other = self._coll_recv(((vr | mask) + root) % p, "reduce", seq)
-                acc = op(acc, other)
-            mask <<= 1
-        return acc if self.rank == root else None
-
-    def _reduce_linear(self, payload: Any, op: ReduceOp, root: int, seq: int) -> Any:
-        if self.rank != root:
-            self._coll_send(root, payload, "reduce", seq)
-            return None
-        acc = _freeze(payload)
-        for src in range(self.size):
-            if src != root:
-                acc = op(acc, self._coll_recv(src, "reduce", seq))
-        return acc
+    # -- allreduce ---------------------------------------------------------------
 
     def allreduce(self, payload: Any, op: ReduceOp = SUM) -> Any:
-        """Reduction returning the result on every rank.
+        """Reduction returning the result on every rank, through one star
+        wave.
 
-        Recursive doubling by default (MPICH's algorithm, with the
-        fold-in/fold-out rounds for non-power-of-two p); ``config.allreduce``
-        pins "reduce_bcast" (binomial reduce to 0 + binomial bcast — the
-        runtime's previous composition, traced as those two collectives) or
-        "linear" (naive linear reduce + linear bcast).
+        The hub folds in recursive doubling's order by default (MPICH's
+        algorithm, with the fold-in/fold-out rounds for non-power-of-two
+        p); ``config.allreduce`` pins "reduce_bcast" (binomial reduce to 0
+        + binomial bcast, verified as those two collectives) or "linear"
+        (naive linear reduce + linear bcast).  The ledger follows the same
+        algorithm, charging every partial and the result at the payload's
+        size.
         """
-        alg = "doubling" if self.config.allreduce == "auto" else self.config.allreduce
-        tok = self._trace_begin("allreduce", op=op.name)
-        before = self._begin_alg()
-        if alg == "doubling":
-            seq = self._next_seq()
-            self._verify(
-                "allreduce", seq, extra=(op.name,) + _payload_sig(payload)
-            )
-            if self.config.aggregate and self.size > 1:
-                out, steps = self._allreduce_hub(payload, op, seq)
-            else:
-                out, steps = self._allreduce_doubling(payload, op, seq)
-        else:
-            # composed variants: traced exactly like the explicit
-            # reduce-then-bcast call sequence they are
-            seq = self._next_seq()
-            self._verify("reduce", seq, root=0, extra=(op.name,) + _payload_sig(payload))
-            if alg == "linear":
-                acc = self._reduce_linear(payload, op, 0, seq)
-            else:
-                acc = self._reduce_binomial(payload, op, 0, seq)
-            seq2 = self._next_seq()
-            self._verify("bcast", seq2, root=0)
-            if alg == "linear":
-                out = self._bcast_linear(acc, 0, seq2)
-                steps = 2 * max(0, self.size - 1)
-            else:
-                out = self._bcast_binomial(acc, 0, seq2)
-                steps = 2 * _log2ceil(self.size)
-        self._end_alg("allreduce", alg, before, steps)
-        self._trace_end(tok, alg, steps)
-        return out
-
-    def _allreduce_doubling(self, payload: Any, op: ReduceOp, seq: int) -> tuple[Any, int]:
-        # MPICH recursive doubling: fold the rem = p - 2^⌊log₂p⌋ surplus
-        # ranks into their neighbours, run log₂ rounds of pairwise exchange
-        # on the power-of-two core, then fold the result back out.
-        p, r = self.size, self.rank
-        acc = _freeze(payload)
-        if p == 1:
-            return acc, 0
-        pof2 = 1 << (p.bit_length() - 1)
-        if pof2 > p:  # pragma: no cover - bit_length guarantees pof2 <= p
-            pof2 >>= 1
-        rem = p - pof2
-        if r < 2 * rem:
-            if r % 2 == 0:
-                self._coll_send(r + 1, acc, "allreduce", seq)
-                newr = -1  # folded in; waits for fold-out
-            else:
-                acc = op(self._coll_recv(r - 1, "allreduce", seq), acc)
-                newr = r // 2
-        else:
-            newr = r - rem
-        if newr >= 0:
-            mask = 1
-            while mask < pof2:
-                partner_new = newr ^ mask
-                partner = (
-                    partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-                )
-                self._coll_send(partner, acc, "allreduce", seq)
-                other = self._coll_recv(partner, "allreduce", seq)
-                # combine lower-rank contribution on the left: every rank
-                # evaluates the same reduction tree, so even order-sensitive
-                # operators stay rank-consistent
-                acc = op(other, acc) if partner < r else op(acc, other)
-                mask <<= 1
-        if r < 2 * rem:
-            if r % 2 == 1:
-                self._coll_send(r - 1, acc, "allreduce", seq)
-            else:
-                acc = self._coll_recv(r + 1, "allreduce", seq)
-        steps = (pof2.bit_length() - 1) + (2 if rem else 0)
-        return acc, steps
-
-    def _allreduce_ledger(self, words: int) -> int:
-        """Charge the logical ledger with recursive doubling's exact send
-        schedule (destinations and program order included, so fault-injector
-        decision streams match the unaggregated run) without moving data.
-        Returns the step count."""
-        p, r = self.size, self.rank
-        pof2 = 1 << (p.bit_length() - 1)
-        if pof2 > p:  # pragma: no cover - bit_length guarantees pof2 <= p
-            pof2 >>= 1
-        rem = p - pof2
-        if r < 2 * rem:
-            if r % 2 == 0:
-                self._logical_send("allreduce", r + 1, words)
-                newr = -1
-            else:
-                newr = r // 2
-        else:
-            newr = r - rem
-        if newr >= 0:
-            mask = 1
-            while mask < pof2:
-                partner_new = newr ^ mask
-                partner = (
-                    partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-                )
-                self._logical_send("allreduce", partner, words)
-                mask <<= 1
-        if r < 2 * rem and r % 2 == 1:
-            self._logical_send("allreduce", r - 1, words)
-        return (pof2.bit_length() - 1) + (2 if rem else 0)
-
-    def _allreduce_hub(self, payload: Any, op: ReduceOp, seq: int) -> tuple[Any, int]:
-        """Aggregated allreduce: one up-frame per rank to the hub, which
-        evaluates the same balanced reduction tree recursive doubling would
-        (:func:`_doubling_fold`, so order-sensitive operators agree bitwise)
-        and ships one result frame back down.  2(p-1) physical frames
-        instead of ~p·log p messages; the logical ledger replays doubling's
-        schedule via :meth:`_allreduce_ledger`."""
-        steps = self._allreduce_ledger(_payload_words(payload))
-        own = _freeze(payload)
-        out = self._hub_exchange(
-            "allreduce", seq, own,
-            lambda ups: [_doubling_fold(ups, op)] * self.size,
-        )
-        return out, steps
+        return self._allreduce(payload, op, blocking=True)
 
     def iallreduce(self, payload: Any, op: ReduceOp = SUM) -> Request:
         """Nonblocking allreduce: returns a :class:`Request` whose ``wait``
@@ -1448,27 +1197,43 @@ class Communicator:
         Ledger, divergence check, and trace span are identical to the
         blocking :meth:`allreduce` (the span is named "allreduce" so the
         trace/ledger cross-check keys line up); only completion is
-        deferred.  On the aggregated doubling path non-hub ranks post their
-        up-frame immediately and the hub's fold + down wave runs inside
-        ``wait`` — the window between post and wait is compute the caller
-        overlaps with communication.  Pinned compositions fall back to a
-        deferred blocking call (payload frozen at post time).
+        deferred.  Non-hub ranks post their up-frame immediately and the
+        hub's fold + down wave runs inside ``wait`` — the window between
+        post and wait is compute the caller overlaps with communication.
         """
-        alg = "doubling" if self.config.allreduce == "auto" else self.config.allreduce
-        if not (self.config.aggregate and self.size > 1 and alg == "doubling"):
-            frozen = _freeze(payload)
-            return _DeferredRequest(lambda: self.allreduce(frozen, op))
+        return self._allreduce(payload, op, blocking=False)
+
+    def _allreduce(self, payload: Any, op: ReduceOp, blocking: bool) -> Any:
+        alg = self.config.allreduce
+        p, r = self.size, self.rank
         tok = self._trace_begin("allreduce", op=op.name)
         before = self._begin_alg()
+        sig = (op.name,) + _payload_sig(payload)
+        words = _payload_words(payload)
         seq = self._next_seq()
-        self._verify("allreduce", seq, extra=(op.name,) + _payload_sig(payload))
-        steps = self._allreduce_ledger(_payload_words(payload))
-        own = _freeze(payload)
-        if self.rank != 0:
-            self._phys_send(0, (self.rank, own), "allreduce", seq)
+        if alg == "doubling":
+            self._verify("allreduce", seq, extra=sig)
+            self._replay("allreduce", _doubling_sends(p, r, words))
+            fold = _doubling_fold
+        else:
+            # composed variants: verified and ledgered exactly like the
+            # explicit reduce-then-bcast call sequence they are
+            sub = "binomial" if alg == "reduce_bcast" else "linear"
+            self._verify("reduce", seq, root=0, extra=sig)
+            self._replay("reduce", _reduce_sends(sub, p, r, 0, words))
+            self._verify("bcast", self._next_seq(), root=0)
+            self._replay("bcast", _bcast_sends(sub, p, r, 0, words))
+            fold = _binomial_fold if sub == "binomial" else _linear_fold
+        if r != 0:
+            self._phys_send(0, (r, payload), "allreduce", seq)
+        req = _AllreduceRequest(self, seq, op, fold, _freeze(payload) if r == 0 else None)
+        out = req.wait() if blocking else req
+        steps = _steps("allreduce", alg, p)
         self._end_alg("allreduce", alg, before, steps)
         self._trace_end(tok, alg, steps)
-        return _AllreduceRequest(self, seq, op, own)
+        return out
+
+    # -- prefix reductions ---------------------------------------------------------
 
     def exscan(self, payload: Any, op: ReduceOp = SUM) -> Any:
         """Exclusive prefix reduction along the rank chain.

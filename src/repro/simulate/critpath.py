@@ -217,15 +217,30 @@ def analyze(trace: DistTrace, top: int = 5) -> dict:
     }
 
 
-def _fmt_t(v: float) -> str:
-    return f"{v:,.1f}"
+def _fmt_t(v: float, clock: str) -> str:
+    """A trace time in its clock's unit: wall seconds scaled to s/ms/µs
+    with 3 significant digits, anything else (event ticks) as an integer."""
+    if clock != "wall":
+        return f"{v:,.0f}"
+    if v == 0.0:
+        return "0s"
+    for scale, unit in ((1.0, "s"), (1e-3, "ms"), (1e-6, "µs")):
+        if abs(v) >= scale:
+            break
+    x = v / scale
+    return (f"{x:,.0f}" if abs(x) >= 100 else f"{x:#.3g}") + unit
 
 
 def format_report(rep: dict) -> str:
     """Render an :func:`analyze` dict as the ``repro trace-report`` text."""
+    clock = rep["clock"]
+
+    def _fmt(v: float) -> str:
+        return _fmt_t(v, clock)
+
     out = [
         f"trace: {rep['nranks']} rank(s), {rep['nspans']:,} spans, "
-        f"clock={rep['clock']}, makespan={_fmt_t(rep['makespan'])}"
+        f"clock={rep['clock']}, makespan={_fmt(rep['makespan'])}"
         + (f", {rep['restarts']} restart(s)" if rep["restarts"] else "")
     ]
 
@@ -233,8 +248,8 @@ def format_report(rep: dict) -> str:
     out.append(f"{'rank':>4} {'makespan':>12} {'wait':>12} {'wait%':>6}")
     for r in rep["ranks"]:
         out.append(
-            f"{r['rank']:>4} {_fmt_t(r['makespan']):>12} "
-            f"{_fmt_t(r['wait']):>12} {r['wait_fraction'] * 100:>5.1f}%"
+            f"{r['rank']:>4} {_fmt(r['makespan']):>12} "
+            f"{_fmt(r['wait']):>12} {r['wait_fraction'] * 100:>5.1f}%"
         )
 
     out.append("")
@@ -242,10 +257,10 @@ def format_report(rep: dict) -> str:
                f"critical path (dominant self time)")
     for ph in rep["phases"]:
         dom = ph["dominant"]
-        dom_txt = (f"{dom['name']} self={_fmt_t(dom['self'])}"
+        dom_txt = (f"{dom['name']} self={_fmt(dom['self'])}"
                    if dom else "-")
         out.append(
-            f"{ph['label']:<14} {_fmt_t(ph['dur_max']):>10} "
+            f"{ph['label']:<14} {_fmt(ph['dur_max']):>10} "
             f"{ph['critical_rank']:>4} {ph['skew'] * 100:>5.1f}%  "
             f"{' > '.join(ph['critical_path'])}  [{dom_txt}]"
         )
@@ -254,15 +269,15 @@ def format_report(rep: dict) -> str:
     out.append("top spans by self time:")
     for t in rep["top_spans"]:
         out.append(
-            f"  {t['name']:<18} self={_fmt_t(t['self']):>12} "
-            f"calls={t['count']:>6} wait={_fmt_t(t['wait'])}"
+            f"  {t['name']:<18} self={_fmt(t['self']):>12} "
+            f"calls={t['count']:>6} wait={_fmt(t['wait'])}"
         )
 
     if rep["faults"]:
         out.append("")
         out.append("faults / restarts:")
         for f in rep["faults"]:
-            out.append(f"  t={_fmt_t(f['ts'])} rank {f['rank']}: {f['name']}")
+            out.append(f"  t={_fmt(f['ts'])} rank {f['rank']}: {f['name']}")
 
     adversity = rep.get("adversity") or {}
     if adversity:

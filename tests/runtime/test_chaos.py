@@ -146,15 +146,15 @@ def test_chaos_trace_merges_attempts_with_explicit_restart_spans(graph, baseline
     assert back.nspans == trace.nspans
 
 
-# -- mid-collective crashes: the engine's multi-round schedules must not
-# strand peers when a rank dies between rounds -------------------------------
+# -- mid-collective crashes: a rank dying partway through a collective's
+# logical schedule must not strand peers waiting on its frames -------------
 
 
-def test_crash_mid_bruck_alltoallv_aborts_all_ranks_promptly():
-    """Rank 2's 2nd send is its 2nd Bruck round (p=4: rounds at distance 1,
-    then 2) — it dies holding other ranks' forwarded blocks.  Peers blocked
-    in the remaining rounds must unwind via abort propagation, well inside
-    the deadlock window, and the victim's error must surface."""
+def test_crash_mid_pairwise_alltoallv_aborts_all_ranks_promptly():
+    """Rank 2's 2nd send is the 2nd of its 3 pairwise-exchange sends
+    (p=4) — it dies mid-schedule, before its row reaches the hub.  Peers
+    blocked in the star wave must unwind via abort propagation, well
+    inside the deadlock window, and the victim's error must surface."""
 
     def main(comm):
         payloads = [np.arange(3, dtype=np.int64) + comm.rank for _ in range(comm.size)]
@@ -165,16 +165,15 @@ def test_crash_mid_bruck_alltoallv_aborts_all_ranks_promptly():
     plan = FaultPlan.parse("crash:rank=2,at=send:2", seed=0)
     t0 = time.monotonic()
     with pytest.raises(RankKilledError, match=r"\[spmd rank 2\]"):
-        spmd(4, main, faults=plan, timeout=20,
-             comm_config=CollectiveConfig(alltoall="bruck"))
+        spmd(4, main, faults=plan, timeout=20)
     assert time.monotonic() - t0 < 10  # abort propagation, not a timeout
 
 
 def test_crash_mid_tree_reduce_aborts_all_ranks_promptly():
-    """In the p=8 binomial reduce, rank 6 first combines rank 7's
-    contribution, then forwards to rank 4; crashing that forward (its 1st
-    send) kills an interior tree node mid-reduction.  The subtree it
-    absorbed must not deadlock the root — abort propagates instead."""
+    """In the p=8 binomial reduce ledger, rank 6 forwards its partial
+    (rank 7's contribution folded in) to rank 4; crashing that forward
+    (its 1st send) kills an interior tree node mid-reduction.  The root
+    waiting on its frame must not deadlock — abort propagates instead."""
 
     def main(comm):
         comm.reduce(np.arange(4, dtype=np.int64) * comm.rank, root=0)

@@ -12,6 +12,7 @@ import pytest
 from repro.distmat.ops import allgather_values, route
 from repro.graphs.rmat import er
 from repro.matching.mcm_dist import run_mcm_dist
+from repro.perfmodel import collectives as C
 from repro.runtime import (
     DEFAULT_CONFIG,
     MAX,
@@ -126,13 +127,13 @@ def test_allgatherv_ragged_payloads_match_oracle(p, alg):
 
 
 @pytest.mark.parametrize("p", SIZES)
-@pytest.mark.parametrize("alg", ["bruck", "pairwise"])
+@pytest.mark.parametrize("alg", ["pairwise"])
 def test_alltoallv_ragged_payloads_match_oracle(p, alg):
     def main(comm):
         payloads = [_payload(comm.rank, k=d) for d in range(p)]
         return comm.alltoallv(payloads)
 
-    res = spmd(p, main, comm_config=CollectiveConfig(alltoall=alg))
+    res = spmd(p, main)
     for r in range(p):
         got = res[r]
         assert len(got) == p
@@ -141,59 +142,14 @@ def test_alltoallv_ragged_payloads_match_oracle(p, alg):
     assert set(_merged_by_alg(res)) == {f"alltoall:{alg}"}
 
 
-_AUTO = CollectiveConfig(alltoall="auto")
-
-
 @pytest.mark.parametrize("p", [4, 5, 9])
 def test_alltoall_default_is_pairwise(p):
-    # The default flipped from auto to pairwise with the aggregation
-    # engine: Bruck's forwarded words depend on payloads the sender never
-    # sees, so it has no analytic ledger and cannot be hub-planned.
+    # pairwise exchange is the one alltoall ledger: its per-destination
+    # sends are known to the sender, so the hub plan replays them exactly
     def main(comm):
         return comm.alltoall([np.arange(2, dtype=np.int64)] * comm.size)
 
     res = spmd(p, main)
-    assert set(_merged_by_alg(res)) == {"alltoall:pairwise"}
-
-
-@pytest.mark.parametrize("p", [4, 5, 9])
-def test_alltoall_auto_picks_bruck_for_small_payloads(p):
-    def main(comm):
-        return comm.alltoall([np.arange(2, dtype=np.int64)] * comm.size)
-
-    res = spmd(p, main, comm_config=_AUTO)
-    assert set(_merged_by_alg(res)) == {"alltoall:bruck"}
-
-
-@pytest.mark.parametrize("p", [5, 9])  # at p=4, ⌈log₂p⌉/2 = 1: Bruck never loses
-def test_alltoall_auto_picks_pairwise_for_large_payloads(p):
-    def main(comm):
-        return comm.alltoall([np.arange(512, dtype=np.int64)] * comm.size)
-
-    res = spmd(p, main, comm_config=_AUTO)
-    assert set(_merged_by_alg(res)) == {"alltoall:pairwise"}
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_alltoall_auto_small_comms_go_pairwise_without_sizing(p):
-    # log2-rounds == p-1 here, so auto skips the counts exchange entirely
-    def main(comm):
-        return comm.alltoall([np.arange(2, dtype=np.int64)] * comm.size)
-
-    res = spmd(p, main, comm_config=_AUTO)
-    by = _merged_by_alg(res)
-    assert set(by) == {"alltoall:pairwise"}
-    assert by["alltoall:pairwise"]["steps"] == p * (p - 1)  # no sizing rounds
-
-
-def test_alltoall_auto_decision_is_rank_uniform_under_skew():
-    # One rank's huge payload must flip EVERY rank to pairwise (the
-    # dissemination max makes the decision global, not per-rank).
-    def main(comm):
-        n = 4096 if comm.rank == 0 else 1
-        return comm.alltoall([np.arange(n, dtype=np.int64)] * comm.size)
-
-    res = spmd(5, main, comm_config=_AUTO)
     assert set(_merged_by_alg(res)) == {"alltoall:pairwise"}
 
 
@@ -225,6 +181,53 @@ def test_step_counts_at_p9_engine_vs_naive():
         assert 2 * eng[eng_key]["steps"] <= nai[nai_key]["steps"], op
 
 
+#: α-only (α=1, β=0) perfmodel price of one call, per runtime op:alg key;
+#: the perfmodel calls dissemination allgather "doubling"
+_ALPHA_PRICE = {
+    "barrier:dissemination": lambda p: C.barrier_dissemination(p, 1.0),
+    "bcast:binomial": lambda p: C.bcast_binomial(p, 1.0, 0.0, 1.0),
+    "bcast:linear": lambda p: C.bcast_linear(p, 1.0, 0.0, 1.0),
+    "reduce:binomial": lambda p: C.reduce_binomial(p, 1.0, 0.0, 1.0),
+    "reduce:linear": lambda p: C.reduce_linear(p, 1.0, 0.0, 1.0),
+    "allreduce:doubling": lambda p: C.allreduce(p, 1.0, 0.0, 1.0, "doubling"),
+    "allreduce:reduce_bcast": lambda p: C.allreduce(p, 1.0, 0.0, 1.0, "reduce_bcast"),
+    "allreduce:linear": lambda p: C.allreduce(p, 1.0, 0.0, 1.0, "linear"),
+    "allgather:dissemination": lambda p: C.allgather(p, 1.0, 0.0, 1.0, "doubling"),
+    "allgather:ring": lambda p: C.allgather(p, 1.0, 0.0, 1.0, "ring"),
+    "alltoall:pairwise": lambda p: C.alltoallv(p, 1.0, 0.0, 1.0, "pairwise"),
+    "gather:direct": lambda p: C.gather_direct(p, 1.0, 0.0, 1.0),
+    "scatter:direct": lambda p: C.scatter_direct(p, 1.0, 0.0, 1.0),
+}
+
+
+def _every_op(comm):
+    a = np.arange(3, dtype=np.int64)
+    comm.barrier()
+    comm.bcast(a, root=0)
+    comm.reduce(a, op=SUM, root=0)
+    comm.allreduce(a, op=SUM)
+    comm.allgatherv(a)
+    comm.alltoallv([a] * comm.size)
+    comm.gather(a)
+    comm.scatter([a] * comm.size if comm.rank == 0 else None)
+    return None
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, NAIVE_CONFIG,
+                                 CollectiveConfig(allreduce="reduce_bcast")],
+                         ids=["engine", "naive", "reduce_bcast"])
+def test_steps_per_call_equal_alpha_only_price(p, cfg):
+    """Runtime step accounting and α-β pricing cannot drift apart: every
+    rank's ``by_alg`` steps per call equal the perfmodel's latency term."""
+    res = spmd(p, _every_op, comm_config=cfg)
+    for stats in res.stats:
+        for key, d in stats.by_alg.items():
+            assert d["steps"] == d["calls"] * _ALPHA_PRICE[key](p), (key, p)
+    covered = {k for s in res.stats for k in s.by_alg}
+    assert len(covered) == 8
+
+
 def test_by_alg_words_account_for_all_collective_traffic():
     def main(comm):
         comm.allgatherv(np.arange(comm.rank + 1, dtype=np.int64))
@@ -242,10 +245,8 @@ def test_by_alg_words_account_for_all_collective_traffic():
 def test_config_validation_rejects_unknown_algorithms():
     with pytest.raises(ValueError, match="unknown bcast algorithm"):
         CollectiveConfig(bcast="tree-of-life")
-    with pytest.raises(ValueError, match="unknown alltoall algorithm"):
-        CollectiveConfig(alltoall="ring")
-    with pytest.raises(ValueError, match="alpha_words"):
-        CollectiveConfig(alpha_words=-1.0)
+    with pytest.raises(ValueError, match="unknown allgather algorithm"):
+        CollectiveConfig(allgather="auto")
 
 
 def test_split_inherits_config():
@@ -314,7 +315,7 @@ def test_allgather_values_preserves_dtype_when_all_empty():
 CONFIG_VARIANTS = {
     "engine": None,
     "naive": NAIVE_CONFIG,
-    "bruck-pinned": CollectiveConfig(alltoall="bruck", allreduce="reduce_bcast"),
+    "pinned": CollectiveConfig(allreduce="reduce_bcast"),
     "no-pack": CollectiveConfig(pack=False, bitmap_frontiers=False),
 }
 

@@ -86,7 +86,7 @@ def test_format_report_renders_every_section():
     assert "1 restart(s)" in text
     assert "phase 1" in text
     assert "phase > spmv > allgather" in text
-    assert "allgather self=5.0" in text
+    assert "[allgather self=5]" in text  # tick times print as integers
     assert "faults / restarts:" in text
     assert "allgather=7" in text
 
@@ -98,3 +98,29 @@ def test_round_trip_through_chrome_preserves_the_report():
     assert a["phases"] == b["phases"]
     assert a["top_spans"] == b["top_spans"]
     assert a["comm_words_by_op"] == b["comm_words_by_op"]
+
+
+def _wall_fixture() -> DistTrace:
+    """The tick fixture's shape on a microsecond wall clock (seconds)."""
+    us = 1e-6
+    r0 = [
+        _span("allgather", "comm", 0, 2.0 * us, 5.0 * us, 3, 4, words=7,
+              wait=3.0 * us),
+        _span("spmv", "kernel", 0, 1.0 * us, 7.0 * us, 2, 5),
+        _span("phase", "phase", 0, 0.0, 10.0 * us, 1, 6, phase=1),
+    ]
+    r1 = [_span("phase", "phase", 1, 0.0, 4.0 * us, 1, 2, phase=1)]
+    return DistTrace(2, [r0, r1], meta={"clock": "wall"})
+
+
+def test_format_report_scales_sub_second_wall_times():
+    """A µs-scale wall trace must not report makespan, wait and self
+    time as 0.0: wall seconds print in s/ms/µs with 3 significant
+    digits."""
+    text = format_report(analyze(_wall_fixture(), top=3))
+    assert "makespan=10.0µs" in text
+    assert "[allgather self=5.00µs]" in text
+    assert "wait=3.00µs" in text
+    rank0 = next(line for line in text.splitlines()
+                 if line.split()[:1] == ["0"])
+    assert rank0.split()[1:3] == ["10.0µs", "3.00µs"]
